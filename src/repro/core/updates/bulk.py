@@ -1,32 +1,30 @@
 """Write-buffering engine overlay powering batched update translation.
 
 The translation algorithms (VO-CI, VO-CD, replacement, the partial
-operations) apply their mutations eagerly through the engine so that
-later steps — dependency checks, global-integrity maintenance — observe
-the effects of earlier ones. Running them once per instance therefore
-costs one engine round-trip per read *and* per write.
+operations) apply their mutations through the engine so that later
+steps — dependency checks, global-integrity maintenance — observe the
+effects of earlier ones.
 
-:class:`BufferedEngine` lets the very same algorithms run unchanged over
-a whole batch while touching the real engine almost never:
+:class:`BufferedEngine` is the engine they run over in the translate
+step of every write, for one request or a whole batch, while the real
+engine is only read:
 
 * writes land in an in-memory overlay (per-relation ``key -> row`` maps
   plus tombstone sets for deleted base rows);
 * reads consult the overlay first and fall back to the base engine,
   memoizing every base read — safe because the base is never mutated
-  while a batch is being translated;
-* :meth:`prime` pre-warms the read cache for a set of keys with one
-  batched :meth:`~repro.relational.engine.Engine.get_many` call.
+  while a batch is being translated.
 
-After translation, the recorded per-instance plans are coalesced
-(:func:`repro.relational.operations.coalesce_plans`) and flushed to the
-real engine through its batch primitives. Any failure during translation
+After translation, the recorded per-request plans are coalesced
+(:func:`repro.relational.operations.coalesce_plans`) and committed to
+the real engine through its batch primitives. Any failure during translation
 simply discards the overlay: the base engine was never touched, so there
 is nothing to roll back.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DuplicateKeyError, NoSuchRowError, TransactionError
 from repro.relational.engine import Engine, ValuesLike
@@ -77,19 +75,6 @@ class BufferedEngine(Engine):
         return self.base.has_relation(name)
 
     # -- cache pre-warming -------------------------------------------------
-
-    def prime(self, name: str, keys: Iterable[Sequence[Any]]) -> None:
-        """Warm the read cache for ``keys`` with one batched lookup."""
-        missing = []
-        for key in keys:
-            key = self._coerce_key(name, key)
-            if (name, key) not in self._get_cache:
-                missing.append(key)
-        if not missing:
-            return
-        found = self.base.get_many(name, missing)
-        for key in missing:
-            self._get_cache[(name, key)] = found.get(key)
 
     # -- mutation (overlay only) -------------------------------------------
 

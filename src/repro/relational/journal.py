@@ -56,7 +56,6 @@ __all__ = [
     "MemoryJournal",
     "FileJournal",
     "plan_images",
-    "images_from_records",
     "apply_journaled",
     "recover",
     "RecoveryReport",
@@ -199,39 +198,6 @@ def plan_images(engine: Engine, plan: UpdatePlan) -> Images:
                 images[old_ck] = (images[old_ck][0], None)
                 new_ck = cell(relation, new_key)
                 images[new_ck] = (images[new_ck][0], tuple(operation.values))
-    return images
-
-
-def images_from_records(engine: Engine, records: Iterable) -> Images:
-    """Net images from changelog records of one (uncommitted) transaction.
-
-    Used by the eager translation path, where effects are already
-    applied when the journal entry is written: the changelog preserved
-    the before-images the engine can no longer provide.
-    """
-    images: Images = {}
-
-    def touch(relation: str, key: Tuple[Any, ...], before, after) -> None:
-        cell_key = (relation, tuple(key))
-        if cell_key in images:
-            images[cell_key] = (images[cell_key][0], after)
-        else:
-            images[cell_key] = (before, after)
-
-    for record in records:
-        if record.kind == "insert":
-            touch(record.relation, record.key, None, record.new_values)
-        elif record.kind == "delete":
-            touch(record.relation, record.key, record.old_values, None)
-        else:  # replace
-            schema = engine.schema(record.relation)
-            new_key = schema.key_of(record.new_values)
-            if new_key == tuple(record.key):
-                touch(record.relation, record.key, record.old_values,
-                      record.new_values)
-            else:
-                touch(record.relation, record.key, record.old_values, None)
-                touch(record.relation, new_key, None, record.new_values)
     return images
 
 

@@ -12,7 +12,7 @@ Placement follows the paper's structure (see
 their primary keys and are partitioned by it; referenced lookups are
 replicated to every shard. A view-object update therefore translates
 entirely on the shard that owns its pivot key — translation runs
-side-effect-free there (:meth:`Translator.explain`), the coalesced
+side-effect-free there (:meth:`Translator.explain_batch`), the coalesced
 plan is partitioned, and:
 
 * a plan confined to one shard takes the **fast path**: journaled,
@@ -616,26 +616,21 @@ class ShardedPenguin:
     ) -> TranslationExplanation:
         """Side-effect-free translation on the owner shard.
 
-        Runs the full pipeline (validation, policy checks, propagation)
-        over a buffer; a rejection raises here and is audited on the
-        owner exactly as a single-engine session would audit it.
+        Runs the translate step of the one write pipeline (authorization,
+        policy checks, propagation, integrity verification) over a
+        buffer; a rejection raises here, audited on the owner by the
+        translator exactly as a single-engine session audits it.
         """
         translator = owner.penguin.translator(name)
         try:
             with owner.lock.read_locked():
-                return translator.explain_batch(owner.engine, requests)
-        except Exception as exc:
+                return translator.explain_batch(owner.engine, requests, op=op)
+        except Exception:
             obs.metrics().counter(
                 "shard_updates_total",
                 outcome="rejected",
                 shard=str(owner.shard_id),
             ).inc()
-            audit = owner.penguin.audit
-            if audit is not None:
-                translator._audit(
-                    audit, op, AUDIT_ROLLED_BACK,
-                    items=len(requests), error=exc,
-                )
             raise
 
     def _apply_local(

@@ -82,3 +82,110 @@ def test_policy_authorizes():
     assert closed.authorizes("a")
     assert not closed.authorizes("b")
     assert not closed.authorizes(None)
+
+
+# -- every write path runs the same check ------------------------------------
+
+
+def _rows(engines, graph):
+    return [
+        {name: sorted(engine.scan(name), key=repr)
+         for name in graph.relation_names}
+        for engine in engines
+    ]
+
+
+@pytest.fixture
+def alice_only(university_graph, university_engine, omega):
+    """A journaled, audited session whose policy admits only 'alice'."""
+    from repro.obs.audit import MemoryAuditLog
+    from repro.penguin import Penguin
+    from repro.relational.journal import MemoryJournal
+
+    penguin = Penguin(
+        university_graph,
+        engine=university_engine,
+        install=False,
+        journal=MemoryJournal(),
+        audit=MemoryAuditLog(),
+    )
+    penguin.register_object(omega)
+    penguin.set_policy(
+        "course_info", TranslatorPolicy(authorized_users=["alice"])
+    )
+    return penguin
+
+
+UNAUTHORIZED_CALLS = {
+    "explain": lambda p, request: p.translator("course_info").explain(
+        p.engine, request
+    ),
+    "explain_batch": lambda p, request: p.translator(
+        "course_info"
+    ).explain_batch(p.engine, [request]),
+    "Penguin.explain_update": lambda p, request: p.explain_update(
+        "course_info", request
+    ),
+    "apply_plan_batch": lambda p, request: p.apply_plan_batch(
+        "course_info", [request]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(UNAUTHORIZED_CALLS))
+def test_every_entry_point_rejects_and_audits_once(alice_only, call):
+    from repro.core.updates.operations import CompleteDeletion
+    from repro.obs.audit import ROLLED_BACK
+
+    request = CompleteDeletion((any_course(alice_only.engine),))
+    before = _rows([alice_only.engine], alice_only.graph)
+    with pytest.raises(LocalValidationError, match="not authorized"):
+        UNAUTHORIZED_CALLS[call](alice_only, request)
+    assert _rows([alice_only.engine], alice_only.graph) == before
+    (record,) = alice_only.audit.records()
+    assert record.outcome == ROLLED_BACK
+    assert record.error.startswith("LocalValidationError")
+    assert alice_only.journal.entries() == []
+
+
+@pytest.mark.parametrize("write", ["delete", "apply_plan_batch"])
+def test_sharded_write_rejected_and_audited_on_owner(write):
+    from repro.core.updates.operations import CompleteDeletion
+    from repro.obs.audit import ROLLED_BACK
+    from repro.shard import ShardedPenguin, sharded_loader
+    from repro.workloads.hospital import (
+        HospitalConfig,
+        hospital_schema,
+        patient_chart_object,
+        populate_hospital,
+    )
+
+    graph = hospital_schema()
+    sharded = ShardedPenguin(graph, "PATIENT", num_shards=2)
+    populate_hospital(sharded_loader(sharded), HospitalConfig(patients=6))
+    sharded.register_object(patient_chart_object(graph))
+    sharded.set_policy(
+        "patient_chart", TranslatorPolicy(authorized_users=["alice"])
+    )
+    pid = sharded.all_rows("PATIENT")[0][0]
+    owner = sharded.owner_of("patient_chart", (pid,))
+    engines = [shard.engine for shard in sharded.shards]
+    before = _rows(engines, graph)
+
+    with pytest.raises(LocalValidationError, match="not authorized"):
+        if write == "delete":
+            sharded.delete("patient_chart", (pid,))
+        else:
+            sharded.apply_plan_batch(
+                "patient_chart", [CompleteDeletion((pid,))]
+            )
+
+    assert _rows(engines, graph) == before
+    for shard in sharded.shards:
+        records = shard.penguin.audit.records()
+        if shard.shard_id == owner:
+            (record,) = records
+            assert record.outcome == ROLLED_BACK
+            assert record.error.startswith("LocalValidationError")
+        else:
+            assert records == []

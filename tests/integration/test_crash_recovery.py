@@ -119,7 +119,8 @@ class TestNonAtomicCrashSweep:
 
 
 class TestTranslationCrash:
-    """Crash inside eager translation: the open transaction is discarded."""
+    """Crash inside a write's commit step: the open transaction is
+    discarded and the write's PENDING journal entry is aborted."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_session_recovers_after_mid_translation_crash(self, k):
@@ -137,6 +138,7 @@ class TestTranslationCrash:
         report = session.recover()
         assert report.clean
         assert report.transactions_discarded >= 1
+        assert [e.status for e in session.journal.entries()] == [ABORTED]
         assert snapshot(engine) == before
         assert not IntegrityChecker(graph).check(engine)
 

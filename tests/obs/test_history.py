@@ -210,19 +210,26 @@ class TestChaosReplay:
     def test_crash_mid_translation_audited_and_excluded(self):
         session = self.hospital_session(crash_at=2)
         pid = sorted(row[0] for row in session.engine.scan("PATIENT"))[0]
+        before = {n: sorted(session.engine.scan(n), key=repr)
+                  for n in session.engine.relation_names()}
         with pytest.raises(SimulatedCrash):
             session.delete("patient_chart", (pid,))
         assert session.audit.record(1).outcome == CRASHED
-        session.recover()  # reverts the torn translation
-        # The interrupted delete had no journal entry yet, so it stays
-        # crashed — and stays out of the replay.
+        session.recover()  # aborts the torn commit, restoring the rows
+        after = {n: sorted(session.engine.scan(n), key=repr)
+                 for n in session.engine.relation_names()}
+        assert after == before
+        # The crash hit the commit step with its journal entry PENDING:
+        # recovery aborts it, and reconciliation settles the record as
+        # rolled back — so it stays out of the replay.
+        assert session.audit.record(1).outcome == ROLLED_BACK
         session.delete("patient_chart", (pid,))  # now succeeds
         records = session.audit.records()
-        assert [r.outcome for r in records] == [CRASHED, COMMITTED]
+        assert [r.outcome for r in records] == [ROLLED_BACK, COMMITTED]
         report = session.replay_audit()
         assert report.ok, report.summary()
         assert report.replayed == [2]
-        assert report.skipped == [(1, CRASHED)]
+        assert report.skipped == [(1, ROLLED_BACK)]
 
     def test_mixed_chaos_workload_replays_clean(self):
         session = self.hospital_session()
