@@ -404,18 +404,15 @@ def _http_json(url, method="GET", payload=None, headers=None):
 
 
 #: Span names one followed cluster write must produce, in causal order.
-#: Each entry accepts any of its aliases — the owner-shard translation
-#: spans as "translate" on the single-shard batch path and "explain"
-#: (propagate/validate children) on the cross-shard path.
 TRACE_LEGS = (
-    ("http.request",),              # asyncio front end
-    ("serve.batch",),               # micro-batch executor fragment
-    ("translate", "explain"),       # owner-shard view-update translation
-    ("shard.two_phase",),           # cross-shard coordinator
-    ("2pc.prepare",),               # participant intent legs
-    ("2pc.apply",),                 # participant apply legs
-    ("replicate.ship",),            # primary -> replica log shipping
-    ("replica.apply",),             # replica applier-thread fragments
+    "http.request",                 # asyncio front end
+    "serve.batch",                  # micro-batch executor fragment
+    "translate",                    # owner-shard view-update translation
+    "shard.two_phase",              # cross-shard coordinator
+    "2pc.prepare",                  # participant intent legs
+    "2pc.apply",                    # participant apply legs
+    "replicate.ship",               # primary -> replica log shipping
+    "replica.apply",                # replica applier-thread fragments
 )
 
 
@@ -491,13 +488,7 @@ def _trace_follow(args: argparse.Namespace) -> int:
         str(span.attributes.get("shard"))
         for span in assembled.find_all("2pc.apply")
     )
-    checks = [
-        (
-            f"leg {' / '.join(aliases)} present",
-            any(name in names for name in aliases),
-        )
-        for aliases in TRACE_LEGS
-    ]
+    checks = [(f"leg {name} present", name in names) for name in TRACE_LEGS]
     checks.append(
         ("2pc apply legs on both shards", apply_shards == ["0", "1"])
     )

@@ -3,8 +3,8 @@
 The paper treats a translated update as a derivation the DBA can audit
 ("the output is the set of database operations"); tracing extends that
 auditability to *time*. A :class:`Tracer` produces trees of
-:class:`Span` objects — ``translate > validate > propagate >
-engine.apply > commit`` — with attributes recorded along the way
+:class:`Span` objects — ``translate > validate > propagate``
+then ``commit`` — with attributes recorded along the way
 (relation names, plan sizes, cache hits, retry counts).
 
 Design constraints, in order:

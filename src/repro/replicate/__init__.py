@@ -5,7 +5,7 @@ This package gives each shard a **primary** and N **replica** stacks
 kept in sync by *log shipping*: the primary's committed audit records
 (ASN-ordered coalesced plans, PR 5) are streamed over a
 :class:`~repro.replicate.link.ShippingLink` and applied on the replica
-through the same ``apply_plan`` flush-half entry point the sharded
+through the same ``apply_plan`` commit-step entry point the sharded
 write path uses — plans propagate as deltas, never re-translated
 (Incremental Relational Lenses, PAPERS.md), and every applied record is
 verified byte-identically against its shipped after-images

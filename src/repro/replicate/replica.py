@@ -4,7 +4,7 @@ A :class:`ReplicaStack` is a full serving stack — its own engine,
 journal, audit log, breaker, and materialized caches — identical in
 shape to the shard primary it shadows. It stays in sync by receiving
 :class:`ShippedRecord`\\ s in stream order and applying each through
-``ConcurrentPenguin.apply_plan``, the same flush-half entry point the
+``ConcurrentPenguin.apply_plan``, the same commit-step entry point the
 sharded write path uses: journaled, audited, never re-translated.
 
 The receive/apply split is the heart of the replication overhead

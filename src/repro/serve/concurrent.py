@@ -419,7 +419,7 @@ class ConcurrentPenguin:
         """Apply an already-translated coalesced plan, journaled and audited.
 
         The sharded write path translates on the owning shard via the
-        side-effect-free explain pipeline and then lands the plan here,
+        translate step (``explain_batch``) and then lands the plan here,
         under this facade's breaker and write lock — the plan is not
         re-translated.
         """

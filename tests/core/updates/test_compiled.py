@@ -312,7 +312,7 @@ class TestCompiledCacheSharing:
 
 
 class TestWhereBatchSemantics:
-    """delete_where / update_where now ride the _run_batch pipeline:
+    """delete_where / update_where ride the one write pipeline:
     coalesced plan, one journal intent, one audit record, all-or-nothing."""
 
     def build_session(self, journal=None, audit=None, engine=None):

@@ -276,14 +276,14 @@ class TestBatchFoldContinuity:
 
 
 REQUIRED_LEGS = (
-    ("http.request",),
-    ("serve.batch",),
-    ("translate", "explain"),
-    ("shard.two_phase",),
-    ("2pc.prepare",),
-    ("2pc.apply",),
-    ("replicate.ship",),
-    ("replica.apply",),
+    "http.request",
+    "serve.batch",
+    "translate",
+    "shard.two_phase",
+    "2pc.prepare",
+    "2pc.apply",
+    "replicate.ship",
+    "replica.apply",
 )
 
 
@@ -323,8 +323,8 @@ class TestEndToEndAssembly:
         wait_until(lambda: assembled_with_replicas() is not None)
         assembled = assembled_with_replicas()
         names = set(assembled.span_names())
-        for aliases in REQUIRED_LEGS:
-            assert any(name in names for name in aliases), aliases
+        for name in REQUIRED_LEGS:
+            assert name in names, name
         # both shards took a 2PC apply leg
         shards = sorted(
             str(span.attributes.get("shard"))
