@@ -672,18 +672,18 @@ class PenguinServer:
             if path == "/health" and method == "GET":
                 return (
                     200,
-                    await self._run(self._collect_health, deadline),
+                    await self._in_executor(self._collect_health, deadline),
                     "application/json",
                 )
             if path == "/metrics" and method == "GET":
                 params = self._query_params(query_string)
                 component = params.get("component")
                 if params.get("format") == "json":
-                    snapshot = await self._run(
+                    snapshot = await self._in_executor(
                         lambda: self._metrics_snapshot(component), deadline
                     )
                     return 200, snapshot, "application/json"
-                text = await self._run(
+                text = await self._in_executor(
                     lambda: self._metrics_text(component), deadline
                 )
                 return 200, text, "text/plain; version=0.0.4"
@@ -784,7 +784,7 @@ class PenguinServer:
             return None
         return _Deadline(asyncio.get_running_loop(), millis / 1000.0)
 
-    async def _run(
+    async def _in_executor(
         self, fn: Callable[[], Any], deadline: Optional[_Deadline] = None
     ) -> Any:
         loop = asyncio.get_running_loop()
@@ -805,7 +805,7 @@ class PenguinServer:
             payload["topology"] = describe()
         risk_summary = getattr(self.session, "risk_summary", None)
         if risk_summary is not None:
-            payload["risk"] = await self._run(risk_summary)
+            payload["risk"] = await self._in_executor(risk_summary)
         return payload
 
     # -- reads ---------------------------------------------------------------
@@ -817,7 +817,7 @@ class PenguinServer:
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
         text = self._query_text(query_string)
-        served: ServedRead = await self._run(
+        served: ServedRead = await self._in_executor(
             lambda: self.session.query_served(name, text), deadline
         )
         return {
@@ -832,7 +832,7 @@ class PenguinServer:
         key: Tuple[Any, ...],
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
-        served: ServedRead = await self._run(
+        served: ServedRead = await self._in_executor(
             lambda: self.session.get_served(name, key), deadline
         )
         if served.value is None:
@@ -913,7 +913,7 @@ class PenguinServer:
         self, name: str, body: bytes, deadline: Optional[_Deadline] = None
     ) -> Dict[str, Any]:
         mapping = self._instance_body(body)
-        instance = await self._run(lambda: self._coerce(name, mapping), deadline)
+        instance = await self._in_executor(lambda: self._coerce(name, mapping), deadline)
         return await self._submit(name, CompleteInsertion(instance), deadline)
 
     async def _replace(
@@ -924,7 +924,7 @@ class PenguinServer:
         deadline: Optional[_Deadline] = None,
     ) -> Dict[str, Any]:
         mapping = self._instance_body(body)
-        new = await self._run(lambda: self._coerce(name, mapping), deadline)
+        new = await self._in_executor(lambda: self._coerce(name, mapping), deadline)
         return await self._submit(name, Replacement(key, new), deadline)
 
     async def _delete(
